@@ -126,7 +126,7 @@ func BenchmarkDatasetIndexProfileViews(b *testing.B) {
 func BenchmarkCSVReadProfileTrace(b *testing.B) {
 	eachScale(b, func(b *testing.B, s *kernelState) {
 		for i := 0; i < b.N; i++ {
-			if _, err := trace.ReadCSVHint("bench", bytes.NewReader(s.csv), s.ds.NumPosts()); err != nil {
+			if _, _, err := trace.ReadCSVOpts("bench", bytes.NewReader(s.csv), trace.ReadCSVOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}

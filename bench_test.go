@@ -122,7 +122,7 @@ func BenchmarkFig1_UserProfile(b *testing.B) {
 	s := benchSetup(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := profile.FromPosts(s.heavyDE, profile.UTCHours()); err != nil {
+		if _, err := profile.FromPosts(s.heavyDE, profile.UTCCells()); err != nil {
 			b.Fatal(err)
 		}
 	}

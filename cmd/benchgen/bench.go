@@ -131,7 +131,7 @@ func runBench(scale int, seed int64, outPath, checkPath string, cpuProfile, memP
 		}},
 		{"csv_read", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := trace.ReadCSVHint("bench", bytes.NewReader(csvBytes), ds.NumPosts()); err != nil {
+				if _, _, err := trace.ReadCSVOpts("bench", bytes.NewReader(csvBytes), trace.ReadCSVOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -59,19 +59,18 @@ func runIngestBench(scale int, seed int64, workers int, outPath, checkPath strin
 		name string
 		fn   func(b *testing.B)
 	}{
-		// csv_read is the production sequential path: no row-count hint —
-		// a real ingest learns the row count by parsing, exactly like
-		// pipeline.Geolocate's CSV fallback.
+		// csv_read is the sequential reader IngestCSV falls back to on
+		// quoted input.
 		{"csv_read", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := trace.ReadCSV("bench", bytes.NewReader(csvBytes)); err != nil {
+				if _, _, err := trace.ReadCSVOpts("bench", bytes.NewReader(csvBytes), trace.ReadCSVOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}},
 		{"csv_read_parallel", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := trace.ReadCSVParallel("bench", csvBytes, trace.ReadCSVOptions{}, workers); err != nil {
+				if _, err := trace.IngestCSV("bench", csvBytes, trace.IngestOptions{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -95,7 +94,7 @@ func runIngestBench(scale int, seed int64, workers int, outPath, checkPath strin
 		}},
 		{"ingest_seq", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				got, err := trace.ReadCSV("bench", bytes.NewReader(csvBytes))
+				got, _, err := trace.ReadCSVOpts("bench", bytes.NewReader(csvBytes), trace.ReadCSVOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -188,12 +188,15 @@ func parseRegions(s string) (map[string]int, error) {
 }
 
 func loadTrace(path string) (*trace.Dataset, error) {
-	fh, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("open trace: %w", err)
 	}
-	defer fh.Close()
-	return trace.ReadCSV(path, fh)
+	res, err := trace.IngestCSV(path, data, trace.IngestOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return res.Dataset, nil
 }
 
 // saveTrace writes the dataset atomically: the output path never holds a
@@ -308,7 +311,7 @@ func cmdProfile(args []string) error {
 		if len(posts) == 0 {
 			return fmt.Errorf("user %q not in trace", *user)
 		}
-		p, err := profile.FromPosts(posts, profile.UTCHours())
+		p, err := profile.FromPosts(posts, profile.UTCCells())
 		if err != nil {
 			return err
 		}
@@ -645,10 +648,11 @@ var serveTestHook func(addr string, stop context.CancelFunc)
 
 // cmdServe runs the streaming geolocation daemon: NDJSON posts in over
 // POST /ingest, incrementally updated placements out of GET /place/{user}
-// and GET /report. The listener is bound before the serving line is
-// printed — the advertised URL is always connectable, and -addr :0
-// renders with the real resolved port — and SIGINT/SIGTERM drains
-// in-flight requests, then flushes the snapshot.
+// and GET /report. The listener is bound and the SIGINT/SIGTERM handler
+// installed before the serving line is printed — the advertised URL is
+// always connectable, -addr :0 renders with the real resolved port, and a
+// signal sent once the line appears drains in-flight requests, then
+// flushes the snapshot.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
@@ -657,7 +661,7 @@ func cmdServe(args []string) error {
 	scale := fs.Int("twitter-scale", 40, "reference dataset scale divisor")
 	minPosts := fs.Int("min-posts", profile.DefaultMinPosts, "active-user threshold")
 	skipPolish := fs.Bool("skip-polish", false, "skip flat-profile removal")
-	workers := fs.Int("workers", 0, "worker goroutines for the mixture fit (0 = all cores); reports are identical for every setting")
+	workers := fs.Int("workers", 0, "worker goroutines for placement and the mixture fit (0 = all cores); reports are identical for every setting")
 	snapshot := fs.String("snapshot", "", "durable state: warm-start from this .dcs snapshot and checkpoint to it on compaction and shutdown (empty = in-memory only)")
 	shards := fs.Int("shards", 0, "ingest shard count (0 = default; rounded up to a power of two); reports are identical for every setting")
 	compactEvery := fs.Int("compact-every", pipeline.DefaultCompactEvery, "fold the mutable ingest tail into the immutable base after this many pending posts")
@@ -687,10 +691,12 @@ func cmdServe(args []string) error {
 		_ = d.Close()
 		return err
 	}
-	fmt.Printf("darkcrowd geolocation daemon serving on http://%s (POST /ingest, GET /place/{user}, /report, /healthz, /metrics)\n", srv.Addr)
-
+	// The signal handler goes in before the serving line is printed: a
+	// supervisor that sends SIGTERM as soon as it sees the address must
+	// get the drain, not the default kill.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	fmt.Printf("darkcrowd geolocation daemon serving on http://%s (POST /ingest, GET /place/{user}, /report, /healthz, /metrics)\n", srv.Addr)
 	if serveTestHook != nil {
 		serveTestHook(srv.Addr, stop)
 	}

@@ -151,12 +151,7 @@ func TestGenerateProfileGeolocatePipeline(t *testing.T) {
 		t.Fatalf("profile: %v", err)
 	}
 	// Profile of one user.
-	fh, err := os.Open(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := trace.ReadCSV(out, fh)
-	fh.Close()
+	ds, err := loadTrace(out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,12 +211,7 @@ func TestScrapeCommand(t *testing.T) {
 	if err := run([]string{"scrape", "-url", srv.URL + "/", "-out", out}); err != nil {
 		t.Fatalf("scrape: %v", err)
 	}
-	fh, err := os.Open(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := trace.ReadCSV(out, fh)
-	fh.Close()
+	ds, err := loadTrace(out)
 	if err != nil {
 		t.Fatal(err)
 	}

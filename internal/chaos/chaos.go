@@ -19,7 +19,6 @@
 package chaos
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -226,18 +225,4 @@ func TempFiles(dir string) ([]string, error) {
 		}
 	}
 	return leftovers, nil
-}
-
-// SameBytes reports whether two files have identical content; a missing
-// file is never identical to anything.
-func SameBytes(a, b string) (bool, error) {
-	da, err := os.ReadFile(a)
-	if err != nil {
-		return false, err
-	}
-	db, err := os.ReadFile(b)
-	if err != nil {
-		return false, err
-	}
-	return bytes.Equal(da, db), nil
 }

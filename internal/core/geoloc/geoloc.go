@@ -109,27 +109,58 @@ type PlaceOptions struct {
 // PlaceUsers assigns every profile to its nearest time zone, comparing the
 // user's UTC-frame profile against the 24 zone reference profiles derived
 // from the generic profile: "we geolocate that member on the timezone whose
-// activity profile is less distant" (§IV-A).
-//
-// Per-user placements are independent, so the sorted user list is split
-// into contiguous shards, one per worker. Every worker writes only its own
-// index range of a position-addressed result slice (plus a private EMD
-// scratch buffer), and the histogram/count/assignment merge runs after the
-// join, on one goroutine, in user order — which makes the result identical
-// to the sequential path regardless of worker count or scheduling.
+// activity profile is less distant" (§IV-A). It is PlaceUsersPartial with
+// no cache.
 func PlaceUsers(profiles map[string]profile.Profile, generic profile.Profile, opts PlaceOptions) (*Placement, error) {
+	placement, _, err := PlaceUsersPartial(profiles, generic, nil, opts)
+	return placement, err
+}
+
+// PlacedZone is one freshly computed per-user placement: the winning zone
+// index plus the placement margin (best-vs-runner-up EMD gap). Returned by
+// PlaceUsersPartial so the daemon's version-keyed cache can serve both
+// without re-running the kernel.
+type PlacedZone struct {
+	Zone   int
+	Margin float64
+}
+
+// PlaceUsersPartial places every profile, taking the zone of each user in
+// known from the cache and running only the remaining users through the
+// EMD kernel. known carries zone indices of users whose profiles have not
+// changed since they were last placed (the streaming daemon's dirty-set
+// refit); entries for users absent from profiles are ignored, and a nil
+// known places everyone. Per-user placement depends only on (profile,
+// generic), so a cached zone for an unchanged profile is exactly what the
+// kernel would recompute. fresh maps each newly placed user to its zone
+// and margin so the caller can refill its cache. With opts.Margins,
+// Placement.Margins holds the margins of the freshly placed users — all
+// of them when known is nil.
+//
+// The users to place are split into contiguous shards of the sorted user
+// list, one per worker. Every worker writes only its own index range of
+// position-addressed result slices (plus a private EMD scratch buffer),
+// and the histogram/count/assignment merge runs after the join, on one
+// goroutine, in user order — which makes the result identical to the
+// sequential path regardless of worker count or scheduling.
+func PlaceUsersPartial(profiles map[string]profile.Profile, generic profile.Profile, known map[string]int, opts PlaceOptions) (*Placement, map[string]PlacedZone, error) {
 	if len(profiles) == 0 {
-		return nil, errors.New("geoloc: no profiles to place")
+		return nil, nil, errors.New("geoloc: no profiles to place")
 	}
 	if opts.Distance == 0 {
 		opts.Distance = DistanceCircularEMD
 	}
 	users := profile.SortedUserIDs(profiles)
-	best := make([]int, len(users))
-	var margins []float64
-	if opts.Margins {
-		margins = make([]float64, len(users))
+	zone := make([]int, len(users))
+	todo := make([]int, 0, len(users)) // positions in users still to place
+	for i, userID := range users {
+		if zi, ok := known[userID]; ok {
+			zone[i] = zi
+		} else {
+			todo = append(todo, i)
+		}
 	}
+	margins := make([]float64, len(todo))
 	// The circular path never materializes the 24 zone profiles: one
 	// all-rotations kernel call against the generic profile yields every
 	// zone distance. The linear ablation keeps the explicit zone loop.
@@ -139,57 +170,81 @@ func PlaceUsers(profiles map[string]profile.Profile, generic profile.Profile, op
 	}
 	o := opts.Obs.Stage("placement")
 	defer o.End()
-	o.SetWorkers(par.Workers(opts.Parallelism, len(users)))
+	o.SetWorkers(par.Workers(opts.Parallelism, len(todo)))
 	usersPlaced := o.Counter("placement.users_placed")
 	// A typed-nil *Span must not become a non-nil ShardObserver.
 	var so par.ShardObserver
 	if sp := o.SpanRef(); sp != nil {
 		so = sp
 	}
-	err := par.RangesObserved(opts.Context, opts.Parallelism, len(users), func(start, end int) error {
+	err := par.RangesObserved(opts.Context, opts.Parallelism, len(todo), func(start, end int) error {
 		dists := make([]float64, tz.HoursPerDay)
 		scratch := make([]float64, 2*tz.HoursPerDay)
-		for i := start; i < end; i++ {
-			if opts.Context != nil && i&0xff == 0 {
+		for j := start; j < end; j++ {
+			if opts.Context != nil && j&0xff == 0 {
 				if err := opts.Context.Err(); err != nil {
 					return err
 				}
 			}
+			i := todo[j]
 			zi, margin, err := nearestZoneIndex(profiles[users[i]], generic, zones, opts.Distance, dists, scratch)
 			if err != nil {
 				return fmt.Errorf("geoloc: distance for user %q: %w", users[i], err)
 			}
-			best[i] = zi
-			if margins != nil {
-				margins[i] = margin
-			}
+			zone[i], margins[j] = zi, margin
 		}
 		usersPlaced.Add(int64(end - start))
 		return nil
 	}, so)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	cached := len(users) - len(todo)
+	usersPlaced.Add(int64(cached))
+	if known != nil {
+		o.Counter("placement.users_cached").Add(int64(cached))
 	}
 	out := &Placement{
 		Assignments: make(map[string]tz.Offset, len(profiles)),
 		Histogram:   make([]float64, tz.HoursPerDay),
 		Counts:      make([]int, tz.HoursPerDay),
 	}
-	if margins != nil {
-		out.Margins = make(map[string]float64, len(users))
-	}
 	for i, userID := range users {
-		out.Assignments[userID] = profile.OffsetOf(best[i])
-		out.Counts[best[i]]++
-		if margins != nil {
-			out.Margins[userID] = margins[i]
+		out.Assignments[userID] = profile.OffsetOf(zone[i])
+		out.Counts[zone[i]]++
+	}
+	fresh := make(map[string]PlacedZone, len(todo))
+	if opts.Margins {
+		out.Margins = make(map[string]float64, len(todo))
+	}
+	for j, i := range todo {
+		fresh[users[i]] = PlacedZone{Zone: zone[i], Margin: margins[j]}
+		if out.Margins != nil {
+			out.Margins[users[i]] = margins[j]
 		}
 	}
 	total := float64(len(profiles))
 	for zi, c := range out.Counts {
 		out.Histogram[zi] = float64(c) / total
 	}
-	return out, nil
+	return out, fresh, nil
+}
+
+// PlaceOneMargin places a single profile — the streaming daemon's /place
+// fast path — returning its zone index and placement margin, exactly what
+// PlaceUsers would assign the same profile, without the Placement maps,
+// the sorted user sweep, or the stage span of a batch call.
+func PlaceOneMargin(p, generic profile.Profile, opts PlaceOptions) (int, float64, error) {
+	if opts.Distance == 0 {
+		opts.Distance = DistanceCircularEMD
+	}
+	var zones []profile.Profile
+	if opts.Distance == DistanceLinearEMD {
+		zones = profile.ZoneProfiles(generic)
+	}
+	dists := make([]float64, tz.HoursPerDay)
+	scratch := make([]float64, 2*tz.HoursPerDay)
+	return nearestZoneIndex(p, generic, zones, opts.Distance, dists, scratch)
 }
 
 // nearestZoneIndex returns the index of the zone profile with minimal

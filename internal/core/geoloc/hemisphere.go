@@ -125,11 +125,11 @@ func ClassifyHemisphere(posts []trace.Post, opts HemisphereOptions) (*Hemisphere
 		return nil, fmt.Errorf("geoloc: not enough seasonal activity (%d Oct-Mar, %d Mar-Oct, need %d each)",
 			len(octMarPosts), len(marOctPosts), opts.MinPostsPerSeason)
 	}
-	pOctMar, err := profile.FromPosts(octMarPosts, profile.UTCHours())
+	pOctMar, err := profile.FromPosts(octMarPosts, profile.UTCCells())
 	if err != nil {
 		return nil, fmt.Errorf("geoloc: Oct-Mar profile: %w", err)
 	}
-	pMarOct, err := profile.FromPosts(marOctPosts, profile.UTCHours())
+	pMarOct, err := profile.FromPosts(marOctPosts, profile.UTCCells())
 	if err != nil {
 		return nil, fmt.Errorf("geoloc: Mar-Oct profile: %w", err)
 	}

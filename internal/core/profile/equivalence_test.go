@@ -8,6 +8,8 @@ package profile
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,18 +17,18 @@ import (
 	"darkcrowd/internal/tz"
 )
 
-// legacyHourOf is the pre-optimization bucketing contract: hour bin plus a
+// legacyBucket is the pre-optimization bucketing contract: hour bin plus a
 // calendar-day string key.
-type legacyHourOf func(t time.Time) (hour int, day string)
+type legacyBucket func(t time.Time) (hour int, day string)
 
-func legacyUTCHours() legacyHourOf {
+func legacyUTCHours() legacyBucket {
 	return func(t time.Time) (int, string) {
 		u := t.UTC()
 		return u.Hour(), u.Format("2006-01-02")
 	}
 }
 
-func legacyLocalHours(region tz.Region) legacyHourOf {
+func legacyLocalHours(region tz.Region) legacyBucket {
 	return func(t time.Time) (int, string) {
 		local := region.LocalTime(t)
 		return local.Hour(), local.Format("2006-01-02")
@@ -35,12 +37,12 @@ func legacyLocalHours(region tz.Region) legacyHourOf {
 
 // legacyFromPosts is the pre-optimization Eq. 1 builder: map[string]bool
 // dedup over fmt.Sprintf cell keys.
-func legacyFromPosts(posts []trace.Post, hourOf legacyHourOf) (Profile, error) {
+func legacyFromPosts(posts []trace.Post, bucket legacyBucket) (Profile, error) {
 	seen := make(map[string]bool)
 	var counts [HoursPerDay]float64
 	var total float64
 	for _, post := range posts {
-		h, day := hourOf(post.Time)
+		h, day := bucket(post.Time)
 		key := fmt.Sprintf("%s#%02d", day, h)
 		if seen[key] {
 			continue
@@ -92,30 +94,29 @@ func equivalenceRegions(t *testing.T) []tz.Region {
 	return out
 }
 
-// TestHourOfMatchesLegacyStringKeys pins the re-typed HourOf (and the
-// columnar CellOf) to the legacy time.Format implementation: same hour, and
-// a day key that distinguishes exactly the same calendar days.
-func TestHourOfMatchesLegacyStringKeys(t *testing.T) {
+// TestCellOfMatchesLegacyStringKeys pins the integer CellOf frames to the
+// legacy time.Format implementation: same hour, and a day key that
+// distinguishes exactly the same calendar days.
+func TestCellOfMatchesLegacyStringKeys(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(41))
 	times := randomTimes(rng, 3000)
 	regions := equivalenceRegions(t)
 	for _, tc := range []struct {
 		name   string
-		hourOf HourOf
 		cells  CellOf
-		legacy legacyHourOf
+		legacy legacyBucket
 	}{
-		{"utc", UTCHours(), UTCCells(), legacyUTCHours()},
-		{"de", LocalHours(regions[0]), LocalCells(regions[0]), legacyLocalHours(regions[0])},
-		{"jp", LocalHours(regions[1]), LocalCells(regions[1]), legacyLocalHours(regions[1])},
-		{"us-ca", LocalHours(regions[2]), LocalCells(regions[2]), legacyLocalHours(regions[2])},
-		{"au-nsw", LocalHours(regions[3]), LocalCells(regions[3]), legacyLocalHours(regions[3])},
+		{"utc", UTCCells(), legacyUTCHours()},
+		{"de", LocalCells(regions[0]), legacyLocalHours(regions[0])},
+		{"jp", LocalCells(regions[1]), legacyLocalHours(regions[1])},
+		{"us-ca", LocalCells(regions[2]), legacyLocalHours(regions[2])},
+		{"au-nsw", LocalCells(regions[3]), legacyLocalHours(regions[3])},
 	} {
 		dayOfString := map[string]int64{}
 		stringOfDay := map[int64]string{}
 		for _, at := range times {
-			h, day := tc.hourOf(at)
+			h, day := tc.cells(at.Unix())
 			lh, lday := tc.legacy(at)
 			if h != lh {
 				t.Fatalf("%s: hour(%v) = %d, legacy %d", tc.name, at, h, lh)
@@ -130,18 +131,14 @@ func TestHourOfMatchesLegacyStringKeys(t *testing.T) {
 			}
 			dayOfString[lday] = day
 			stringOfDay[day] = lday
-			// CellOf must agree with HourOf at whole-second resolution.
-			ch, cday := tc.cells(at.Unix())
-			if ch != h || cday != day {
-				t.Fatalf("%s: CellOf(%d) = (%d,%d), HourOf = (%d,%d)", tc.name, at.Unix(), ch, cday, h, day)
-			}
 		}
 	}
 }
 
-// TestHourOfDSTBoundaries sweeps second-by-second windows around every DST
-// transition of 2017 for a northern and a southern region.
-func TestHourOfDSTBoundaries(t *testing.T) {
+// TestCellOfDSTBoundaries sweeps second-by-second windows around every DST
+// transition of 2017 for northern and southern regions: the local cell's
+// hour and epoch day must name the legacy local hour and calendar date.
+func TestCellOfDSTBoundaries(t *testing.T) {
 	t.Parallel()
 	regions := equivalenceRegions(t)
 	boundaries := []time.Time{}
@@ -158,18 +155,17 @@ func TestHourOfDSTBoundaries(t *testing.T) {
 		t.Fatal("no DST boundaries found in catalogue regions")
 	}
 	for _, r := range regions {
-		hourOf, cells, legacy := LocalHours(r), LocalCells(r), legacyLocalHours(r)
+		cells, legacy := LocalCells(r), legacyLocalHours(r)
 		for _, b := range boundaries {
 			for s := -3700; s <= 3700; s += 97 {
 				at := b.Add(time.Duration(s) * time.Second)
-				h, day := hourOf(at)
-				lh, _ := legacy(at)
+				h, day := cells(at.Unix())
+				lh, lday := legacy(at)
 				if h != lh {
 					t.Fatalf("%s at %v: hour %d, legacy %d", r.Code, at, h, lh)
 				}
-				ch, cday := cells(at.Unix())
-				if ch != h || cday != day {
-					t.Fatalf("%s at %v: CellOf disagrees with HourOf", r.Code, at)
+				if got := time.Unix(day*86400, 0).UTC().Format("2006-01-02"); got != lday {
+					t.Fatalf("%s at %v: day %s, legacy %s", r.Code, at, got, lday)
 				}
 			}
 		}
@@ -191,13 +187,13 @@ func TestFromPostsMatchesLegacy(t *testing.T) {
 		region := regions[trial%len(regions)]
 		for _, tc := range []struct {
 			name   string
-			hourOf HourOf
-			legacy legacyHourOf
+			cells  CellOf
+			legacy legacyBucket
 		}{
-			{"utc", UTCHours(), legacyUTCHours()},
-			{region.Code, LocalHours(region), legacyLocalHours(region)},
+			{"utc", UTCCells(), legacyUTCHours()},
+			{region.Code, LocalCells(region), legacyLocalHours(region)},
 		} {
-			got, err := FromPosts(posts, tc.hourOf)
+			got, err := FromPosts(posts, tc.cells)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -212,9 +208,11 @@ func TestFromPostsMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestBuildUserProfilesColumnarMatchesRows asserts the columnar fast path
-// (nil HourOf) and the row path produce bit-identical profile maps, in UTC
-// and local frames, sequential and parallel.
+// TestBuildUserProfilesColumnarMatchesRows checks both columnar builders
+// against the legacy row-oriented oracle: legacyFromPosts over each
+// user's ds.ByUser() posts, in UTC and local frames, sequential and
+// parallel. The fused build (UTC only) reads the same posts back through
+// WriteCSV and IngestCSV.
 func TestBuildUserProfilesColumnarMatchesRows(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(43))
@@ -225,38 +223,56 @@ func TestBuildUserProfilesColumnarMatchesRows(t *testing.T) {
 			ds.Posts = append(ds.Posts, trace.Post{UserID: id, Time: at})
 		}
 	}
+	var csv strings.Builder
+	if err := ds.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
 	de, err := tz.ByCode("de")
 	if err != nil {
 		t.Fatal(err)
 	}
+	const minPosts = 40
 	for _, frame := range []struct {
 		name   string
 		cells  CellOf
-		hourOf HourOf
+		legacy legacyBucket
 	}{
-		{"utc", nil, UTCHours()},
-		{"de", LocalCells(de), LocalHours(de)},
+		{"utc", nil, legacyUTCHours()},
+		{"de", LocalCells(de), legacyLocalHours(de)},
 	} {
+		want := make(map[string]Profile)
+		for id, posts := range ds.ByUser() {
+			if len(posts) < minPosts {
+				continue
+			}
+			if want[id], err = legacyFromPosts(posts, frame.legacy); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(want) == 0 || len(want) == 30 {
+			t.Fatalf("%s: threshold keeps %d of 30 users; the test needs both kinds", frame.name, len(want))
+		}
 		for _, workers := range []int{1, 4} {
-			columnar, err := BuildUserProfiles(ds, BuildOptions{
-				MinPosts: 10, Cells: frame.cells, Parallelism: workers,
-			})
+			opts := BuildOptions{MinPosts: minPosts, Cells: frame.cells, Parallelism: workers}
+			got, err := BuildUserProfiles(ds, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows, err := BuildUserProfiles(ds, BuildOptions{
-				MinPosts: 10, HourOf: frame.hourOf, Parallelism: workers,
-			})
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%d workers: BuildUserProfiles differs from the row oracle", frame.name, workers)
+			}
+			if frame.cells != nil {
+				continue // fused cells are UTC-frame only
+			}
+			res, err := trace.IngestCSV("eq", []byte(csv.String()), trace.IngestOptions{Workers: workers, CollectCells: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(columnar) != len(rows) {
-				t.Fatalf("%s/%d workers: %d vs %d users", frame.name, workers, len(columnar), len(rows))
+			if got, err = BuildUserProfilesFused(res.Cells, opts); err != nil {
+				t.Fatal(err)
 			}
-			for id, p := range rows {
-				if columnar[id] != p {
-					t.Fatalf("%s/%d workers: user %q differs", frame.name, workers, id)
-				}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%d workers: BuildUserProfilesFused differs from the row oracle", frame.name, workers)
 			}
 		}
 	}

@@ -63,9 +63,6 @@ func TestFusedBuildMatchesColumnar(t *testing.T) {
 func TestFusedBuildRejectsCustomFrames(t *testing.T) {
 	t.Parallel()
 	res := fusedTestIngest(t, 2)
-	if _, err := BuildUserProfilesFused(res.Cells, BuildOptions{HourOf: UTCHours()}); err == nil {
-		t.Fatal("fused build accepted a custom HourOf")
-	}
 	if _, err := BuildUserProfilesFused(res.Cells, BuildOptions{Cells: UTCCells()}); err == nil {
 		t.Fatal("fused build accepted a custom CellOf")
 	}

@@ -101,6 +101,9 @@ func BuildGeneric(ds *trace.Dataset, opts GenericOptions) (*GenericResult, error
 		region   Profile   // the aggregated region profile
 	}
 	builds := make([]regionBuild, len(codes))
+	// Build the dataset's lazy index here, once: the workers' FilterUsers
+	// calls then only read it instead of racing to build it.
+	ds.Index()
 	err := par.Ranges(opts.Context, opts.Parallelism, len(codes), func(start, end int) error {
 		for i := start; i < end; i++ {
 			code := codes[i]

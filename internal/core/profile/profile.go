@@ -170,18 +170,14 @@ func (p Profile) Entropy() (float64, error) {
 	return stats.Entropy(p[:])
 }
 
-// HourOf selects which civil frame posts are bucketed in: it returns the
-// hour bin 0..23 and an integer day key (days since the Unix epoch on that
-// frame's calendar) that together identify the post's (day, hour) activity
-// cell. Integer day keys replace the old "2006-01-02" strings: the mapping
-// between calendar days and epoch-day numbers is a bijection, so cell
-// identity — the only thing FromPosts uses the key for — is unchanged,
-// while the hot loop sheds time.Format and fmt.Sprintf entirely.
-type HourOf func(t time.Time) (hour int, epochDay int64)
-
-// CellOf is the columnar counterpart of HourOf: it buckets a post given
-// only its Unix-seconds timestamp, exactly as stored in the trace index's
-// time column, so profile building never materializes a time.Time.
+// CellOf selects which civil frame posts are bucketed in: given a post's
+// Unix-seconds timestamp, exactly as stored in the trace index's time
+// column, it returns the hour bin 0..23 and an integer day key (days since
+// the Unix epoch on that frame's calendar) that together identify the
+// post's (day, hour) activity cell. Integer day keys stand in for
+// "2006-01-02" strings: the mapping between calendar days and epoch-day
+// numbers is a bijection, so cell identity is unchanged, while the hot
+// loop never materializes a time.Time or formats a string.
 type CellOf func(unixSec int64) (hour int, epochDay int64)
 
 // cellOfUnix maps Unix seconds to (UTC hour, UTC epoch day) with floor
@@ -196,31 +192,17 @@ func cellOfUnix(u int64) (int, int64) {
 	return int(rem / 3600), day
 }
 
-// UTCHours buckets posts by UTC hour; day keys follow the UTC calendar.
-func UTCHours() HourOf {
-	return func(t time.Time) (int, int64) {
-		return cellOfUnix(t.Unix())
-	}
-}
-
-// LocalHours buckets posts by the region's DST-aware local hour; day keys
-// follow the local calendar. This implements the paper's "we have
-// considered daylight saving time for all regions where it is used".
-func LocalHours(region tz.Region) HourOf {
-	return func(t time.Time) (int, int64) {
-		// Offsets are whole hours (tz.Offset), so the local civil hour and
-		// day fall out of integer arithmetic on the shifted epoch seconds —
-		// identical to region.LocalTime(t).Hour() / its calendar day.
-		return cellOfUnix(t.Unix() + int64(region.OffsetAt(t))*3600)
-	}
-}
-
-// UTCCells is the CellOf equivalent of UTCHours.
+// UTCCells buckets posts by UTC hour; day keys follow the UTC calendar.
 func UTCCells() CellOf { return cellOfUnix }
 
-// LocalCells is the CellOf equivalent of LocalHours. DST boundaries sit on
-// whole-hour instants, so evaluating the offset at the floor-to-second
-// time.Unix(u, 0) agrees with evaluating it at the original post time.
+// LocalCells buckets posts by the region's DST-aware local hour; day keys
+// follow the local calendar. This implements the paper's "we have
+// considered daylight saving time for all regions where it is used".
+// Offsets are whole hours (tz.Offset), so the local civil hour and day fall
+// out of integer arithmetic on the shifted epoch seconds. DST boundaries
+// sit on whole-hour instants, so evaluating the offset at the
+// floor-to-second time.Unix(u, 0) agrees with evaluating it at the
+// original post time.
 func LocalCells(region tz.Region) CellOf {
 	return func(u int64) (int, int64) {
 		off := region.OffsetAt(time.Unix(u, 0).UTC())
@@ -259,7 +241,7 @@ func fromCellKeys(keys []int64) (Profile, error) {
 }
 
 // FromPosts builds the Eq. 1 user profile from a post list using the given
-// bucketing frame:
+// bucketing frame (nil means UTCCells):
 //
 //	P_u[h] = sum_d a_d(h) / sum_{d,h} a_d(h)
 //
@@ -267,13 +249,13 @@ func fromCellKeys(keys []int64) (Profile, error) {
 // of day d. Multiple posts in the same (day, hour) cell count once, which
 // is what makes the profile a distribution of *activity* rather than of
 // post volume.
-func FromPosts(posts []trace.Post, hourOf HourOf) (Profile, error) {
-	if hourOf == nil {
-		hourOf = UTCHours()
+func FromPosts(posts []trace.Post, cellOf CellOf) (Profile, error) {
+	if cellOf == nil {
+		cellOf = UTCCells()
 	}
 	keys := make([]int64, 0, len(posts))
 	for _, post := range posts {
-		keys = append(keys, cellKey(hourOf(post.Time)))
+		keys = append(keys, cellKey(cellOf(post.Time.Unix())))
 	}
 	return fromCellKeys(keys)
 }
@@ -310,13 +292,9 @@ type BuildOptions struct {
 	// MinPosts is the active-user threshold; users with fewer posts are
 	// dropped. Defaults to DefaultMinPosts (30).
 	MinPosts int
-	// HourOf selects the bucketing frame for the row-oriented path. Leave
-	// nil (the default) to take the columnar fast path; setting it forces
-	// per-post time.Time bucketing via ds.ByUser.
-	HourOf HourOf
-	// Cells selects the bucketing frame for the columnar fast path, which
-	// feeds epoch seconds straight from the trace index into the cell
-	// function. Defaults to UTCCells(). Ignored when HourOf is set.
+	// Cells selects the bucketing frame: BuildUserProfiles feeds epoch
+	// seconds straight from the trace index into it. Defaults to
+	// UTCCells(). BuildUserProfilesFused takes only the default.
 	Cells CellOf
 	// Parallelism is the number of workers building per-user profiles:
 	// 0 uses every core (GOMAXPROCS), 1 forces the sequential path. Each
@@ -335,26 +313,36 @@ type BuildOptions struct {
 // BuildUserProfiles builds one profile per active user of the dataset.
 // Users below the post threshold are silently dropped ("we have also
 // filtered out non active users", §IV); an error is returned only if no
-// user survives. The per-user builds run on opts.Parallelism workers, each
-// writing its own slots of an index-addressed result slice.
+// user survives.
 //
-// With a nil opts.HourOf the build runs on the dataset's columnar index:
-// each worker streams a user's epoch seconds into a reused key buffer and
-// dedups cells by sorting, allocating nothing per user. The result is
-// bit-identical to the row path (integer cell counts divide the same way
-// regardless of visit order).
+// The build runs on the dataset's columnar index: each worker reads a
+// user's epoch seconds into a reused buffer and turns them into cell keys
+// in place through opts.Cells, allocating nothing per user.
 func BuildUserProfiles(ds *trace.Dataset, opts BuildOptions) (map[string]Profile, error) {
+	cellOf := opts.Cells
+	if cellOf == nil {
+		cellOf = UTCCells()
+	}
+	s := ds.Index()
+	return buildProfiles(s, opts, func(buf []int64, u int) []int64 {
+		buf = s.AppendUserTimes(buf, u)
+		for i, sec := range buf {
+			buf[i] = cellKey(cellOf(sec))
+		}
+		return buf
+	})
+}
+
+// buildProfiles is the sharded builder loop behind BuildUserProfiles and
+// BuildUserProfilesFused. appendKeys appends user u's per-post cell keys
+// to an empty scratch buffer; every user's profile depends only on its own
+// keys, so the per-user builds run on opts.Parallelism workers, each
+// writing its own slots of an index-addressed result slice, and the output
+// map is identical for every worker count.
+func buildProfiles(s *trace.Store, opts BuildOptions, appendKeys func(buf []int64, u int) []int64) (map[string]Profile, error) {
 	if opts.MinPosts == 0 {
 		opts.MinPosts = DefaultMinPosts
 	}
-	if opts.HourOf != nil {
-		return buildUserProfilesRows(ds, opts)
-	}
-	cells := opts.Cells
-	if cells == nil {
-		cells = UTCCells()
-	}
-	s := ds.Index()
 	active := make([]int, 0, s.NumUsers())
 	for u := 0; u < s.NumUsers(); u++ {
 		if s.Count(u) >= opts.MinPosts {
@@ -375,7 +363,7 @@ func BuildUserProfiles(ds *trace.Dataset, opts BuildOptions) (map[string]Profile
 	built := make([]Profile, len(active))
 	ok := make([]bool, len(active))
 	err := par.RangesObserved(opts.Context, opts.Parallelism, len(active), func(start, end int) error {
-		var times, keys []int64 // per-worker scratch, reused across users
+		var keys []int64 // per-worker scratch, reused across users
 		var builtN, cellsN int64
 		for i := start; i < end; i++ {
 			if opts.Context != nil && i&0xff == 0 {
@@ -383,11 +371,7 @@ func BuildUserProfiles(ds *trace.Dataset, opts BuildOptions) (map[string]Profile
 					return err
 				}
 			}
-			times = s.AppendUserTimes(times[:0], active[i])
-			keys = keys[:0]
-			for _, sec := range times {
-				keys = append(keys, cellKey(cells(sec)))
-			}
+			keys = appendKeys(keys[:0], active[i])
 			cellsN += int64(len(keys))
 			p, err := fromCellKeys(keys)
 			if err != nil {
@@ -407,62 +391,6 @@ func BuildUserProfiles(ds *trace.Dataset, opts BuildOptions) (map[string]Profile
 	for i, u := range active {
 		if ok[i] {
 			out[s.UserID(u)] = built[i]
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("%w (threshold %d)", ErrNoActivity, opts.MinPosts)
-	}
-	return out, nil
-}
-
-// buildUserProfilesRows is the row-oriented build used when a custom HourOf
-// is set: per-user []trace.Post groups through FromPosts. Active users are
-// visited in sorted-ID order, matching the columnar path.
-func buildUserProfilesRows(ds *trace.Dataset, opts BuildOptions) (map[string]Profile, error) {
-	byUser := ds.ByUser()
-	active := make([]string, 0, len(byUser))
-	for userID, posts := range byUser {
-		if len(posts) >= opts.MinPosts {
-			active = append(active, userID)
-		}
-	}
-	sort.Strings(active)
-	o := opts.Obs.Stage("profile-build")
-	defer o.End()
-	o.SetWorkers(par.Workers(opts.Parallelism, len(active)))
-	o.Counter("profile.users_active").Add(int64(len(active)))
-	usersBuilt := o.Counter("profile.users_built")
-	var so par.ShardObserver
-	if sp := o.SpanRef(); sp != nil {
-		so = sp
-	}
-	built := make([]Profile, len(active))
-	ok := make([]bool, len(active))
-	err := par.RangesObserved(opts.Context, opts.Parallelism, len(active), func(start, end int) error {
-		var builtN int64
-		for i := start; i < end; i++ {
-			if opts.Context != nil && i&0xff == 0 {
-				if err := opts.Context.Err(); err != nil {
-					return err
-				}
-			}
-			p, err := FromPosts(byUser[active[i]], opts.HourOf)
-			if err != nil {
-				continue // no usable activity cells
-			}
-			built[i], ok[i] = p, true
-			builtN++
-		}
-		usersBuilt.Add(builtN)
-		return nil
-	}, so)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]Profile, len(active))
-	for i, userID := range active {
-		if ok[i] {
-			out[userID] = built[i]
 		}
 	}
 	if len(out) == 0 {

@@ -68,7 +68,7 @@ func (l *Lab) Fig1() (*Result, error) {
 		return nil, fmt.Errorf("no German users at scale 1/%d", l.cfg.TwitterScale)
 	}
 	posts := sub.ByUser()[users[0]]
-	p, err := profile.FromPosts(posts, profile.LocalHours(de))
+	p, err := profile.FromPosts(posts, profile.LocalCells(de))
 	if err != nil {
 		return nil, err
 	}

@@ -90,10 +90,8 @@ type ServeConfig struct {
 	MinPosts int
 	// SkipPolish disables flat-profile removal at report time.
 	SkipPolish bool
-	// MaxComponents bounds the GMM model search (0: the geoloc default).
-	MaxComponents int
-	// Workers sets the EM fit parallelism (0 = all cores). Reports are
-	// bit-identical for every setting.
+	// Workers sets the placement and EM fit parallelism (0 = all cores).
+	// Reports are bit-identical for every setting.
 	Workers int
 	// Shards sets the ingest shard count (0: trace.DefaultHeadShards;
 	// rounded up to a power of two). Reports are bit-identical for every
@@ -594,14 +592,13 @@ func (d *Daemon) refit() (*ServeReport, error) {
 			return nil, ErrNoCrowd
 		}
 	}
-	placement, fresh, err := geoloc.PlaceUsersPartial(kept, d.generic, known, geoloc.PlaceOptions{Obs: d.o})
+	placement, fresh, err := geoloc.PlaceUsersPartial(kept, d.generic, known, geoloc.PlaceOptions{Parallelism: d.cfg.Workers, Obs: d.o})
 	if err != nil {
 		return nil, err
 	}
 	geo, err := geoloc.FitPlacement(placement, geoloc.GeolocateOptions{
-		MaxComponents: d.cfg.MaxComponents,
-		Place:         geoloc.PlaceOptions{Parallelism: d.cfg.Workers},
-		Obs:           d.o,
+		Place: geoloc.PlaceOptions{Parallelism: d.cfg.Workers},
+		Obs:   d.o,
 	})
 	if err != nil {
 		return nil, err

@@ -3,10 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"path/filepath"
-	"strings"
 	"testing"
-
-	"darkcrowd/internal/trace"
 )
 
 // TestDaemonIngestLineEndings: the ingest wire format is newline-framed,
@@ -19,10 +16,7 @@ import (
 func TestDaemonIngestLineEndings(t *testing.T) {
 	dir := t.TempDir()
 	csvPath := writeCrowd(t, dir)
-	ds, err := trace.ReadCSV(csvPath, strings.NewReader(readFile(t, csvPath)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := loadCSV(t, csvPath)
 	lf := ndjson(ds.Posts)
 
 	variants := map[string]func([]byte) []byte{

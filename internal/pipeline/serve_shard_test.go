@@ -29,10 +29,7 @@ func TestDaemonShardInvariance(t *testing.T) {
 	dir := t.TempDir()
 	path := writeCrowd(t, dir)
 	_, wantGeo := batchGeo(t, path)
-	ds, err := trace.ReadCSV(path, strings.NewReader(readFile(t, path)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := loadCSV(t, path)
 
 	var wantSnap []byte
 	for _, shards := range daemonShardCounts {

@@ -87,10 +87,7 @@ func TestDaemonStreamingEquivalence(t *testing.T) {
 	path := writeCrowd(t, dir)
 	batchRes, wantGeo := batchGeo(t, path)
 
-	ds, err := trace.ReadCSV(path, strings.NewReader(readFile(t, path)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := loadCSV(t, path)
 	for _, chunk := range []int{1, 17, 400} {
 		posts := make([]trace.Post, len(ds.Posts))
 		copy(posts, ds.Posts)
@@ -144,6 +141,16 @@ func readFile(t *testing.T, path string) string {
 	return string(data)
 }
 
+// loadCSV reads a CSV trace through the production ingest path.
+func loadCSV(t *testing.T, path string) *trace.Dataset {
+	t.Helper()
+	res, err := trace.IngestCSV(path, []byte(readFile(t, path)), trace.IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Dataset
+}
+
 // TestDaemonConcurrentIngestRace streams the crowd from several writer
 // goroutines while readers hammer /place and /report (plus the background
 // refitter at an aggressive debounce); once drained, the final report must
@@ -154,10 +161,7 @@ func TestDaemonConcurrentIngestRace(t *testing.T) {
 	path := writeCrowd(t, dir)
 	_, wantGeo := batchGeo(t, path)
 
-	ds, err := trace.ReadCSV(path, strings.NewReader(readFile(t, path)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := loadCSV(t, path)
 	o := &obs.Observer{Metrics: obs.NewRegistry()}
 	d, err := NewDaemon(ServeConfig{
 		Reference:     testReference(t),
@@ -256,10 +260,7 @@ func TestDaemonConcurrentIngestRace(t *testing.T) {
 func TestDaemonSnapshotWarmStart(t *testing.T) {
 	dir := t.TempDir()
 	path := writeCrowd(t, dir)
-	ds, err := trace.ReadCSV(path, strings.NewReader(readFile(t, path)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := loadCSV(t, path)
 	snap := dir + "/serve.dcs"
 	d1, err := NewDaemon(ServeConfig{
 		Reference:     testReference(t),

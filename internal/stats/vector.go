@@ -39,20 +39,6 @@ func Mean(xs []float64) (float64, error) {
 	return Sum(xs) / float64(len(xs)), nil
 }
 
-// StdDev returns the population standard deviation of the values.
-func StdDev(xs []float64) (float64, error) {
-	m, err := Mean(xs)
-	if err != nil {
-		return 0, err
-	}
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs))), nil
-}
-
 // MeanStdDev returns both the mean and the population standard deviation in
 // one pass over the data.
 func MeanStdDev(xs []float64) (mean, std float64, err error) {
@@ -90,21 +76,6 @@ func Normalize(xs []float64) ([]float64, error) {
 		out[i] = x / s
 	}
 	return out, nil
-}
-
-// ArgMax returns the index of the largest value, breaking ties toward the
-// lowest index. It returns -1 for an empty slice.
-func ArgMax(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i := range xs {
-		if xs[i] > xs[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // Rotate returns a copy of xs rotated left by k positions (element k of the
@@ -191,29 +162,4 @@ func Entropy(dist []float64) (float64, error) {
 		return 0, fmt.Errorf("stats: distribution sums to %g, want 1", sum)
 	}
 	return h, nil
-}
-
-// KLDivergence returns the Kullback-Leibler divergence D(p || q) in bits.
-// It is +Inf when p has mass where q has none.
-func KLDivergence(p, q []float64) (float64, error) {
-	if len(p) != len(q) {
-		return 0, fmt.Errorf("%w: %d vs %d", ErrLengthMismatch, len(p), len(q))
-	}
-	if len(p) == 0 {
-		return 0, ErrEmptyInput
-	}
-	var d float64
-	for i := range p {
-		if p[i] < 0 || q[i] < 0 {
-			return 0, fmt.Errorf("stats: negative probability at index %d", i)
-		}
-		if p[i] == 0 {
-			continue
-		}
-		if q[i] == 0 {
-			return math.Inf(1), nil
-		}
-		d += p[i] * math.Log2(p[i]/q[i])
-	}
-	return d, nil
 }

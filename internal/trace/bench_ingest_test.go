@@ -56,11 +56,11 @@ func BenchmarkParallelRead(b *testing.B) {
 	b.SetBytes(int64(len(csvBytes)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ds, _, err := ReadCSVParallel("bench", csvBytes, ReadCSVOptions{}, 4)
+		res, err := IngestCSV("bench", csvBytes, IngestOptions{Workers: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if ds.NumPosts() != posts {
+		if res.Dataset.NumPosts() != posts {
 			b.Fatal("short read")
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // randomDataset builds a seeded random dataset with duplicate timestamps,
@@ -400,7 +401,7 @@ func TestWriteCSVMatchesEncodingCSV(t *testing.T) {
 		t.Fatalf("WriteCSV output differs from encoding/csv:\n got %q\nwant %q", got.String(), want.String())
 	}
 	// And it must round-trip through the reader.
-	back, err := ReadCSV("quoting", bytes.NewReader(got.Bytes()))
+	back, _, err := ReadCSVOpts("quoting", bytes.NewReader(got.Bytes()), ReadCSVOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,21 +441,37 @@ func TestAppendRFC3339MatchesFormat(t *testing.T) {
 	}
 }
 
-func TestReadCSVHintAndInterning(t *testing.T) {
+// TestIngestCSVInterning checks that IngestCSV round-trips WriteCSV
+// output and holds one user-ID string per distinct user, not one per row,
+// on the sharded path and on the quoted-input fallback alike.
+func TestIngestCSVInterning(t *testing.T) {
 	t.Parallel()
-	d := randomDataset(3, 10, 500)
-	var buf bytes.Buffer
-	if err := d.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSVHint("hinted", bytes.NewReader(buf.Bytes()), d.NumPosts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !samePosts(got.Posts, d.Posts) {
-		t.Fatal("ReadCSVHint round trip differs")
-	}
-	if cap(got.Posts) != d.NumPosts() {
-		t.Errorf("hint ignored: cap = %d, want %d", cap(got.Posts), d.NumPosts())
+	plain := randomDataset(3, 10, 500)
+	quoted := randomDataset(4, 10, 200)
+	quoted.Posts[0].UserID = `u,"quoted"` // forces the sequential fallback
+	for _, d := range []*Dataset{plain, quoted} {
+		var buf bytes.Buffer
+		if err := d.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			res, err := IngestCSV("interned", buf.Bytes(), IngestOptions{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := res.Dataset
+			if !samePosts(got.Posts, d.Posts) {
+				t.Fatalf("workers=%d: IngestCSV round trip differs", workers)
+			}
+			first := make(map[string]*byte)
+			for _, p := range got.Posts {
+				ptr := unsafe.StringData(p.UserID)
+				if prev, ok := first[p.UserID]; !ok {
+					first[p.UserID] = ptr
+				} else if prev != ptr {
+					t.Fatalf("workers=%d: user %q is not interned", workers, p.UserID)
+				}
+			}
+		}
 	}
 }

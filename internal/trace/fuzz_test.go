@@ -24,7 +24,7 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("\"\n\x00,"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		strict, err := ReadCSV("fuzz", bytes.NewReader(data))
+		strict, _, err := ReadCSVOpts("fuzz", bytes.NewReader(data), ReadCSVOptions{})
 		lenient, report, lerr := ReadCSVOpts("fuzz", bytes.NewReader(data),
 			ReadCSVOptions{Lenient: true, MaxBadRows: 1 << 20, SampleCap: 4})
 		if lerr == nil && len(report.Rows) > 4 {
@@ -50,7 +50,7 @@ func FuzzReadCSV(f *testing.F) {
 		if err := strict.WriteCSV(&once); err != nil {
 			t.Fatalf("WriteCSV of accepted dataset: %v", err)
 		}
-		back, err := ReadCSV("fuzz", bytes.NewReader(once.Bytes()))
+		back, _, err := ReadCSVOpts("fuzz", bytes.NewReader(once.Bytes()), ReadCSVOptions{})
 		if err != nil {
 			t.Fatalf("re-read of WriteCSV output: %v\n%q", err, once.Bytes())
 		}

@@ -11,30 +11,6 @@ import (
 
 const lenientHeader = "user_id,time_rfc3339\n"
 
-func TestReadCSVOptsStrictMatchesReadCSV(t *testing.T) {
-	t.Parallel()
-	in := lenientHeader + "u1,2017-03-01T10:00:00Z\nu2,2017-03-01T11:00:00Z\n"
-	strict, err := ReadCSV("x", strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaOpts, report, err := ReadCSVOpts("x", strings.NewReader(in), ReadCSVOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report != nil {
-		t.Errorf("strict mode produced a report: %+v", report)
-	}
-	if len(viaOpts.Posts) != len(strict.Posts) {
-		t.Fatalf("strict ReadCSVOpts: %d posts, want %d", len(viaOpts.Posts), len(strict.Posts))
-	}
-	// Strict mode must keep failing exactly where ReadCSV fails.
-	bad := lenientHeader + "u1,notatime\n"
-	if _, _, err := ReadCSVOpts("x", strings.NewReader(bad), ReadCSVOptions{}); err == nil {
-		t.Error("strict mode should fail on a bad timestamp")
-	}
-}
-
 func TestReadCSVLenientQuarantinesBadRows(t *testing.T) {
 	t.Parallel()
 	in := lenientHeader +
@@ -168,7 +144,7 @@ func TestReadCSVLenientRoundTripUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	strict, err := ReadCSV("rt", bytes.NewReader(raw))
+	strict, _, err := ReadCSVOpts("rt", bytes.NewReader(raw), ReadCSVOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

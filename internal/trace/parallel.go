@@ -78,15 +78,6 @@ type UserCells struct {
 	keys  []int64 // per post, dataset order: floor(unixSec/3600)
 }
 
-// NumUsers returns the number of distinct users.
-func (c *UserCells) NumUsers() int { return c.store.NumUsers() }
-
-// UserID returns the user ID at dense index u (sorted by ID).
-func (c *UserCells) UserID(u int) string { return c.store.UserID(u) }
-
-// Count returns the number of posts of the user at dense index u.
-func (c *UserCells) Count(u int) int { return c.store.Count(u) }
-
 // Store returns the columnar index the cells are grouped by.
 func (c *UserCells) Store() *Store { return c.store }
 
@@ -109,18 +100,6 @@ func floorDiv3600(sec int64) int64 {
 		q--
 	}
 	return q
-}
-
-// ReadCSVParallel is the drop-in parallel variant of ReadCSVOpts: same
-// inputs (as bytes), same three results, bit-identical at any worker
-// count. The returned dataset additionally has its columnar index
-// pre-built.
-func ReadCSVParallel(name string, data []byte, opts ReadCSVOptions, workers int) (*Dataset, *QuarantineReport, error) {
-	res, err := IngestCSV(name, data, IngestOptions{ReadCSVOptions: opts, Workers: workers})
-	if res == nil {
-		return nil, nil, err
-	}
-	return res.Dataset, res.Report, err
 }
 
 // IngestCSV parses a CSV activity trace with sharded workers and builds
@@ -538,12 +517,8 @@ func mergeShards(name string, shards []*shardResult, headerLines int, opts Inges
 	}
 
 	ds := &Dataset{Name: name}
-	switch {
-	case totalPosts > 0:
+	if totalPosts > 0 {
 		ds.Posts = make([]Post, totalPosts)
-	case opts.PostHint > 0:
-		// Mirror ReadCSVOpts: a hinted read returns an empty non-nil slice.
-		ds.Posts = make([]Post, 0, opts.PostHint)
 	}
 	for i := range ds.Posts {
 		ds.Posts[i] = Post{UserID: firstIDs[userOf[i]], Time: time.Unix(when[i], 0).UTC()}

@@ -47,11 +47,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		"empty": {Name: "empty"},
 	}
 	r := rand.New(rand.NewSource(3))
-	gen, _, err := ReadCSVParallel("gen", genEquivCSV(r, false), ReadCSVOptions{Lenient: true}, 3)
+	gen, err := IngestCSV("gen", genEquivCSV(r, false), IngestOptions{ReadCSVOptions: ReadCSVOptions{Lenient: true}, Workers: 3})
 	if err != nil {
 		t.Fatalf("generated dataset: %v", err)
 	}
-	cases["generated"] = gen
+	cases["generated"] = gen.Dataset
 	for name, d := range cases {
 		t.Run(name, func(t *testing.T) {
 			raw := encodeSnapshot(t, d)

@@ -13,7 +13,6 @@ package trace
 import (
 	"bufio"
 	"encoding/csv"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -255,25 +254,7 @@ func (d *Dataset) SortByTime() {
 	d.idx = nil
 }
 
-// WriteJSON serializes the dataset.
-func (d *Dataset) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(d); err != nil {
-		return fmt.Errorf("trace: encode dataset: %w", err)
-	}
-	return nil
-}
-
-// ReadJSON deserializes a dataset written by WriteJSON.
-func ReadJSON(r io.Reader) (*Dataset, error) {
-	var d Dataset
-	if err := json.NewDecoder(r).Decode(&d); err != nil {
-		return nil, fmt.Errorf("trace: decode dataset: %w", err)
-	}
-	return &d, nil
-}
-
-// csvHeader is the column layout used by WriteCSV/ReadCSV.
+// csvHeader is the column layout used by WriteCSV/ReadCSVOpts.
 var csvHeader = []string{"user_id", "time_rfc3339"}
 
 // WriteCSV writes the posts as CSV with a header row. Ground truth is not
@@ -342,30 +323,12 @@ func csvFieldNeedsQuotes(field string) bool {
 	return unicode.IsSpace(r1)
 }
 
-// ReadCSV reads a CSV produced by WriteCSV.
-func ReadCSV(name string, r io.Reader) (*Dataset, error) {
-	return ReadCSVHint(name, r, 0)
-}
-
-// ReadCSVHint is ReadCSV with a post-count hint used to preallocate the
-// post slice — pass the expected number of rows (0 is fine). Rows are
-// parsed through a fixed-layout RFC3339 fast path (falling back to
-// time.Parse for offsets, fractional seconds, or anything unusual), and
-// user-ID strings are interned so a million-post file holds one string per
-// distinct user instead of one per row.
-func ReadCSVHint(name string, r io.Reader, postHint int) (*Dataset, error) {
-	ds, _, err := ReadCSVOpts(name, r, ReadCSVOptions{PostHint: postHint})
-	return ds, err
-}
-
 // DefaultQuarantineSample is how many quarantined rows a lenient read keeps
 // verbatim for diagnosis when ReadCSVOptions.SampleCap is zero.
 const DefaultQuarantineSample = 10
 
 // ReadCSVOptions tunes ReadCSVOpts.
 type ReadCSVOptions struct {
-	// PostHint preallocates the post slice (0 is fine) — see ReadCSVHint.
-	PostHint int
 	// Lenient switches the reader from fail-fast to quarantining: a
 	// malformed row is recorded in the QuarantineReport and skipped instead
 	// of aborting the whole load. The header is always strict — a missing
@@ -454,10 +417,15 @@ func (opts *ReadCSVOptions) quarantine(q *QuarantineReport, row QuarantinedRow) 
 	return nil
 }
 
-// ReadCSVOpts is the configurable CSV reader behind ReadCSV/ReadCSVHint.
-// In strict mode (the default) it behaves exactly like ReadCSVHint: the
-// first malformed row aborts the read, and the returned report is nil. In
-// lenient mode malformed rows are skipped into the returned
+// ReadCSVOpts is the sequential CSV reader for files written by WriteCSV:
+// IngestCSV's fallback for quoted input, and the oracle its sharded parser
+// is tested against. Rows are parsed through a fixed-layout RFC3339 fast
+// path (falling back to time.Parse for offsets, fractional seconds, or
+// anything unusual), and user-ID strings are interned so a million-post
+// file holds one string per distinct user instead of one per row.
+//
+// In strict mode (the default) the first malformed row aborts the read,
+// and the returned report is nil. In lenient mode malformed rows are skipped into the returned
 // QuarantineReport — the paper's real-world corpora are full of gap-ridden
 // records, and a longitudinal pipeline must survive them — up to the
 // MaxBadRows budget. Well-formed rows parse identically in both modes.
@@ -475,9 +443,6 @@ func ReadCSVOpts(name string, r io.Reader, opts ReadCSVOptions) (*Dataset, *Quar
 		return nil, nil, fmt.Errorf("trace: unexpected CSV header %v", header)
 	}
 	out := &Dataset{Name: name}
-	if opts.PostHint > 0 {
-		out.Posts = make([]Post, 0, opts.PostHint)
-	}
 	var report *QuarantineReport
 	if opts.Lenient {
 		report = &QuarantineReport{}

@@ -141,28 +141,6 @@ func TestSortByTime(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	t.Parallel()
-	d := sample()
-	var buf bytes.Buffer
-	if err := d.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != d.Name || got.NumPosts() != d.NumPosts() {
-		t.Errorf("round trip lost data: %+v", got.Summarize())
-	}
-	if got.GroundTruth["alice"] != "de" {
-		t.Error("ground truth lost in round trip")
-	}
-	if _, err := ReadJSON(strings.NewReader("{broken")); err == nil {
-		t.Error("broken JSON should fail")
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	t.Parallel()
 	d := sample()
@@ -170,9 +148,12 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := d.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV("sample", &buf)
+	got, report, err := ReadCSVOpts("sample", &buf, ReadCSVOptions{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if report != nil {
+		t.Errorf("strict mode produced a quarantine report: %+v", report)
 	}
 	if got.NumPosts() != d.NumPosts() {
 		t.Errorf("CSV round trip: %d posts, want %d", got.NumPosts(), d.NumPosts())
@@ -186,13 +167,13 @@ func TestCSVRoundTrip(t *testing.T) {
 
 func TestReadCSVErrors(t *testing.T) {
 	t.Parallel()
-	if _, err := ReadCSV("x", strings.NewReader("")); err == nil {
+	if _, _, err := ReadCSVOpts("x", strings.NewReader(""), ReadCSVOptions{}); err == nil {
 		t.Error("empty CSV should fail")
 	}
-	if _, err := ReadCSV("x", strings.NewReader("wrong,header\na,b\n")); err == nil {
+	if _, _, err := ReadCSVOpts("x", strings.NewReader("wrong,header\na,b\n"), ReadCSVOptions{}); err == nil {
 		t.Error("bad header should fail")
 	}
-	if _, err := ReadCSV("x", strings.NewReader("user_id,time_rfc3339\nu1,notatime\n")); err == nil {
+	if _, _, err := ReadCSVOpts("x", strings.NewReader("user_id,time_rfc3339\nu1,notatime\n"), ReadCSVOptions{}); err == nil {
 		t.Error("bad timestamp should fail")
 	}
 }
